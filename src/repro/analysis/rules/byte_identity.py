@@ -8,7 +8,8 @@ introsort's tie order is an implementation detail numpy is free to
 change).  This rule enforces both, scoped to the writer modules — any
 module whose file name mentions ``arena``, ``stream`` or ``landmark``
 (the landmark sketch persists as an arena section, so its selection and
-distance arrays define arena bytes too).
+distance arrays define arena bytes too) — and to the modules whose arrays
+the writers copy verbatim (:data:`ARENA_FEEDERS`).
 
 ``np.asarray``/``np.ascontiguousarray`` are exempt: they preserve their
 input's dtype.  ``np.lexsort`` is exempt: it is always stable.
@@ -34,6 +35,12 @@ _POSITIONAL_DTYPE_AT = {"array": 2, "zeros": 2, "ones": 2, "empty": 2,
 
 SORTS = {"sort", "argsort"}
 
+#: Modules outside the writers whose arrays become arena bytes as-is: the
+#: tagging store's action columns, the chunked action generator feeding the
+#: streaming build, the social graph's CSR and the materialized shards.
+ARENA_FEEDERS = ("storage/tagging.py", "workload/tagging_model.py",
+                 "graph/graph.py", "proximity/materialized.py")
+
 
 @register_rule
 class ByteIdentityRule(LintRule):
@@ -43,7 +50,8 @@ class ByteIdentityRule(LintRule):
 
     def applies_to(self, module: str) -> bool:
         name = module.rsplit("/", 1)[-1]
-        return "arena" in name or "stream" in name or "landmark" in name
+        return ("arena" in name or "stream" in name or "landmark" in name
+                or module.endswith(ARENA_FEEDERS))
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(context.tree):
@@ -87,4 +95,4 @@ class ByteIdentityRule(LintRule):
             f"arena byte-identity")
 
 
-__all__ = ["ByteIdentityRule", "CONSTRUCTORS", "SORTS"]
+__all__ = ["ARENA_FEEDERS", "ByteIdentityRule", "CONSTRUCTORS", "SORTS"]

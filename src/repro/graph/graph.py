@@ -232,8 +232,12 @@ class SocialGraphBuilder:
         """Number of distinct undirected edges added so far."""
         return len(self._edges)
 
-    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Add the undirected edge ``{u, v}`` with the given tie strength."""
+    def add_edge(self, u: int, v: int, weight: float = 1.0) -> bool:
+        """Add the undirected edge ``{u, v}`` with the given tie strength.
+
+        Returns ``True`` when the edge is new or its weight grew (a parallel
+        edge keeps the maximum weight), ``False`` when nothing changed.
+        """
         if not 0 <= u < self._num_users:
             raise UnknownUserError(u, self._num_users)
         if not 0 <= v < self._num_users:
@@ -248,6 +252,8 @@ class SocialGraphBuilder:
         existing = self._edges.get(key)
         if existing is None or weight > existing:
             self._edges[key] = float(weight)
+            return True
+        return False
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` when the undirected edge was already added."""

@@ -22,11 +22,26 @@ File layout (little-endian)::
     header JSON  (meta + array manifest: name, dtype, shape, offset)
     64-byte-aligned raw array payloads
 
+**One layout writer.**  :func:`index_sections` is the only code that turns
+action columns ``(user, item, tag id, timestamp)`` into the ``inverted.*``,
+``endorser.*``, ``social.*`` and ``actions.*`` arrays: one composite-key
+sort per section over the deduplicated log.  It has three callers:
+
+* :func:`build_arena` feeds it the dataset's columns
+  (:meth:`TaggingStore.columns`).  For an arena-backed dataset those are
+  the mapped arrays plus the delta with tag ids remapped, so in-memory
+  corpora, arena-backed corpora and durable checkpoints are all written
+  without replaying anything into Python dicts;
+* :func:`repro.storage.arena_stream.build_arena_streaming` feeds it spilled
+  memmap columns and lets it fill memmap outputs, for out-of-core builds;
+* compaction restages :class:`ArenaSocialIndex` from the tagging store's
+  staged epoch through :func:`social_section`, the writer's social pass.
+
 The scalar-path structures that are *not* arrays (the tagging store's hash
 indexes, user/item profiles) are served by thin array-backed subclasses
 that answer the hot lookups by binary search over the mapped arrays and
 fall back to materialising the full Python store only when a cold path
-(workload generation, holdout splitting) actually asks for it.
+(profile iteration, holdout splitting) actually asks for it.
 
 **Live updates** never invalidate the mapped arrays wholesale.  Each
 array-backed view keeps a small in-memory **delta overlay** — new tagging
@@ -331,6 +346,12 @@ class Arena:
 # Building an arena from a dataset
 # --------------------------------------------------------------------- #
 
+#: rows moved per blocked gather (bounds transient copies of memmap inputs).
+_BLOCK_ROWS = 1 << 20
+#: the ``actions.*`` / ``holdout.*`` column names, in manifest order.
+ACTION_COLUMNS = ("user_ids", "item_ids", "tag_ids", "timestamps")
+
+
 def _concat(parts: Sequence[np.ndarray], dtype) -> np.ndarray:
     if not parts:
         return np.zeros(0, dtype=dtype)
@@ -338,14 +359,137 @@ def _concat(parts: Sequence[np.ndarray], dtype) -> np.ndarray:
         if len(parts) > 1 else np.asarray(parts[0], dtype=dtype)
 
 
-def _action_arrays(store: TaggingStore, tag_ids: Dict[str, int]
+def _scratch_array(directory: Optional[Path], name: str,
+                   rows: int) -> np.ndarray:
+    """A writable int64 output: a scratch memmap, or heap when no directory."""
+    if directory is None or rows == 0:
+        return np.empty(rows, dtype=np.int64)
+    return np.memmap(directory / f"{name}.mm", dtype=np.int64, mode="w+",
+                     shape=(rows,))
+
+
+def _gather_into(out: np.ndarray, source: np.ndarray,
+                 order: np.ndarray) -> np.ndarray:
+    """``out[:] = source[order]`` in bounded blocks (the memmap fill pass)."""
+    for start in range(0, order.shape[0], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        out[start:stop] = np.asarray(source[order[start:stop]])
+    return out
+
+
+def _group_sorted(keys_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(unique_keys, counts)`` of an already-sorted key array (one pass)."""
+    if keys_sorted.shape[0] == 0:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    boundaries = np.flatnonzero(np.diff(keys_sorted)) + 1
+    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
+    ends = np.concatenate([boundaries,
+                           np.array([keys_sorted.shape[0]], dtype=np.int64)])
+    return np.asarray(keys_sorted[starts]), ends - starts
+
+
+def _offsets_from_counts(counts: np.ndarray, length: int) -> np.ndarray:
+    offsets = np.zeros(length + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _key_radices(user_ids: np.ndarray, item_ids: np.ndarray,
+                 num_tags: int) -> Tuple[int, int]:
+    """``(users, items)`` radices packing ``(user, item, tag)`` into int64."""
+    total = int(user_ids.shape[0])
+    num_users = int(user_ids.max()) + 1 if total else 1
+    num_items = int(item_ids.max()) + 1 if total else 1
+    if total and (int(user_ids.min()) < 0 or int(item_ids.min()) < 0):
+        raise StorageError("arena action columns hold a negative id")
+    if num_users * num_items * max(1, num_tags) >= 2 ** 63:
+        raise StorageError(
+            "corpus domain too large to pack (user, item, tag) into int64 "
+            f"keys: {num_users} x {num_items} x {num_tags}")
+    return num_users, num_items
+
+
+def index_sections(user_ids: np.ndarray, item_ids: np.ndarray,
+                   tag_ids: np.ndarray, timestamps: np.ndarray,
+                   num_tags: int, scratch: Optional[Path] = None
                    ) -> Dict[str, np.ndarray]:
-    actions = store.actions()
+    """The ``inverted.*``, ``endorser.*``, ``social.*`` and ``actions.*``
+    arrays, in manifest order, of one deduplicated action log.
+
+    The columns are parallel int64 arrays, one row per distinct ``(user,
+    item, tag)`` triple in log order, ``tag_ids`` indexing a table of
+    ``num_tags`` names.  Posting lists come out ordered by (-frequency,
+    item), endorser and social segments ascending; ``actions.*`` are the
+    columns themselves.  With ``scratch`` the two row-sized outputs
+    (taggers, social items) are memmaps in that directory whose pages are
+    released after the fill, so an out-of-core build never holds them.
+    """
+    num_users, num_items = _key_radices(user_ids, item_ids, num_tags)
+    arrays: Dict[str, np.ndarray] = {}
+
+    # Endorser + inverted sections from one (tag, item, user) sort.  Keys
+    # are distinct triples, so stability cannot change the result — but
+    # kind="stable" pins the permutation across numpy versions.
+    key_tiu = (np.asarray(tag_ids) * num_items + np.asarray(item_ids)) \
+        * num_users + np.asarray(user_ids)
+    order = np.argsort(key_tiu, kind="stable")
+    taggers = _gather_into(
+        _scratch_array(scratch, "endorser.taggers", order.shape[0]),
+        user_ids, order)
+    # Not read again until the final write; keep its pages off the RSS bill.
+    _release_mapped_pages(taggers)
+    # Group the sorted rows by (tag, item): counts are the per-item
+    # distinct-endorser frequencies (rows are distinct triples).
+    pair_keys, pair_counts = _group_sorted(key_tiu[order] // num_users)
+    del key_tiu, order
+    pair_tags = pair_keys // num_items
+    pair_items = pair_keys % num_items
+    per_tag_items = np.bincount(pair_tags, minlength=num_tags)
+    # The (tag, item, frequency) relation re-ordered per tag by
+    # (-frequency, item id) — the posting-list layout.
+    posting_order = np.lexsort((pair_items, -pair_counts, pair_tags))
+    arrays["inverted.offsets"] = _offsets_from_counts(per_tag_items, num_tags)
+    arrays["inverted.item_ids"] = pair_items[posting_order]
+    arrays["inverted.frequencies"] = pair_counts[posting_order]
+    del posting_order
+    arrays["endorser.item_offsets"] = _offsets_from_counts(per_tag_items,
+                                                           num_tags)
+    arrays["endorser.item_ids"] = pair_items
+    arrays["endorser.frequencies"] = pair_counts
+    arrays["endorser.segment_offsets"] = _offsets_from_counts(
+        pair_counts, pair_counts.shape[0])
+    arrays["endorser.taggers"] = taggers
+
+    arrays.update(social_section(user_ids, item_ids, tag_ids, num_tags,
+                                 scratch))
+    for name, column in zip(ACTION_COLUMNS,
+                            (user_ids, item_ids, tag_ids, timestamps)):
+        arrays[f"actions.{name}"] = column
+    return arrays
+
+
+def social_section(user_ids: np.ndarray, item_ids: np.ndarray,
+                   tag_ids: np.ndarray, num_tags: int,
+                   scratch: Optional[Path] = None) -> Dict[str, np.ndarray]:
+    """The ``social.*`` per-tag user → items CSR from one (tag, user, item)
+    sort of the action columns (see :func:`index_sections`)."""
+    num_users, num_items = _key_radices(user_ids, item_ids, num_tags)
+    key_tui = (np.asarray(tag_ids) * num_users + np.asarray(user_ids)) \
+        * num_items + np.asarray(item_ids)
+    order = np.argsort(key_tui, kind="stable")
+    items = _gather_into(
+        _scratch_array(scratch, "social.item_ids", order.shape[0]),
+        item_ids, order)
+    _release_mapped_pages(items)
+    row_keys, row_counts = _group_sorted(key_tui[order] // num_items)
+    del key_tui, order
     return {
-        "user_ids": np.array([a.user_id for a in actions], dtype=np.int64),
-        "item_ids": np.array([a.item_id for a in actions], dtype=np.int64),
-        "tag_ids": np.array([tag_ids[a.tag] for a in actions], dtype=np.int64),
-        "timestamps": np.array([a.timestamp for a in actions], dtype=np.int64),
+        "social.user_offsets": _offsets_from_counts(
+            np.bincount(row_keys // num_users, minlength=num_tags), num_tags),
+        "social.user_ids": row_keys % num_users,
+        "social.segment_offsets": _offsets_from_counts(
+            row_counts, row_counts.shape[0]),
+        "social.item_ids": items,
     }
 
 
@@ -354,6 +498,9 @@ def build_arena(dataset: Dataset, path: PathLike,
                 landmarks: Optional[LandmarkProximity] = None) -> Path:
     """Serialise ``dataset`` (and optional built shards) into an arena file.
 
+    The index sections are laid out by :func:`index_sections` from the
+    tagging store's columns, so an arena-backed dataset is re-serialised
+    from its mapped arrays plus its delta without materialising anything.
     ``landmarks`` additionally persists a landmark sketch's dense
     distance/hop arrays as the ``landmark.*`` section, so serving processes
     attach the precomputed sketch (:func:`attach_landmarks`) instead of
@@ -367,78 +514,14 @@ def build_arena(dataset: Dataset, path: PathLike,
     arrays["graph.offsets"] = offsets
     arrays["graph.neighbours"] = neighbours
     arrays["graph.weights"] = weights
-
-    # Inverted index: frequency-ordered posting lists, concatenated in tag
-    # order with a per-tag offsets array.
-    inv_offsets = np.zeros(len(tags) + 1, dtype=np.int64)
-    inv_items: List[np.ndarray] = []
-    inv_freqs: List[np.ndarray] = []
-    for index, tag in enumerate(tags):
-        postings = dataset.inverted_index.arrays(tag)
-        inv_items.append(postings.item_ids)
-        inv_freqs.append(postings.frequencies)
-        inv_offsets[index + 1] = inv_offsets[index] + len(postings)
-    arrays["inverted.offsets"] = inv_offsets
-    arrays["inverted.item_ids"] = _concat(inv_items, np.int64)
-    arrays["inverted.frequencies"] = _concat(inv_freqs, np.int64)
-
-    # Endorser index: per-tag item -> tagger CSR, flattened with a global
-    # per-(tag, item) segment-offsets array.
-    end_item_offsets = np.zeros(len(tags) + 1, dtype=np.int64)
-    end_items: List[np.ndarray] = []
-    end_freqs: List[np.ndarray] = []
-    end_taggers: List[np.ndarray] = []
-    segment_lengths: List[np.ndarray] = []
-    for index, tag in enumerate(tags):
-        bundle = dataset.endorser_index.for_tag(tag)
-        if bundle is None:
-            end_item_offsets[index + 1] = end_item_offsets[index]
-            continue
-        end_items.append(bundle.item_ids)
-        end_freqs.append(bundle.frequencies)
-        end_taggers.append(bundle.taggers)
-        segment_lengths.append(np.diff(bundle.offsets))
-        end_item_offsets[index + 1] = end_item_offsets[index] + len(bundle)
-    lengths = _concat(segment_lengths, np.int64)
-    segment_offsets = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lengths, out=segment_offsets[1:])
-    arrays["endorser.item_offsets"] = end_item_offsets
-    arrays["endorser.item_ids"] = _concat(end_items, np.int64)
-    arrays["endorser.frequencies"] = _concat(end_freqs, np.int64)
-    arrays["endorser.segment_offsets"] = segment_offsets
-    arrays["endorser.taggers"] = _concat(end_taggers, np.int64)
-
-    # Social index: per-tag user -> item CSR (the frontier expansion path).
-    soc_user_offsets = np.zeros(len(tags) + 1, dtype=np.int64)
-    soc_users: List[int] = []
-    soc_lengths: List[int] = []
-    soc_items: List[int] = []
-    all_users = dataset.social_index.users()
-    for index, tag in enumerate(tags):
-        with_tag = 0
-        for user in all_users:  # ascending, so each tag segment is sorted
-            items = dataset.social_index.items_for(user, tag)
-            if not items:
-                continue
-            soc_users.append(user)
-            soc_lengths.append(len(items))
-            soc_items.extend(items)
-            with_tag += 1
-        soc_user_offsets[index + 1] = soc_user_offsets[index] + with_tag
-    soc_segment_offsets = np.zeros(len(soc_users) + 1, dtype=np.int64)
-    np.cumsum(np.array(soc_lengths, dtype=np.int64), out=soc_segment_offsets[1:])
-    arrays["social.user_offsets"] = soc_user_offsets
-    arrays["social.user_ids"] = np.array(soc_users, dtype=np.int64)
-    arrays["social.segment_offsets"] = soc_segment_offsets
-    arrays["social.item_ids"] = np.array(soc_items, dtype=np.int64)
-
-    for name, array in _action_arrays(dataset.tagging, tag_ids).items():
-        arrays[f"actions.{name}"] = array
+    arrays.update(index_sections(*dataset.tagging.columns(tag_ids),
+                                 num_tags=len(tags)))
     if dataset.holdout is not None:
         holdout_tags = sorted(set(tag_ids) | set(dataset.holdout.tags()))
         holdout_ids = {tag: index for index, tag in enumerate(holdout_tags)}
-        for name, array in _action_arrays(dataset.holdout, holdout_ids).items():
-            arrays[f"holdout.{name}"] = array
+        for name, column in zip(ACTION_COLUMNS,
+                                dataset.holdout.columns(holdout_ids)):
+            arrays[f"holdout.{name}"] = column
         holdout_table: Optional[List[str]] = holdout_tags
     else:
         holdout_table = None
@@ -537,14 +620,13 @@ class _SocialArrays:
     __slots__ = ("tag_ids", "user_offsets", "user_ids", "segment_offsets",
                  "item_ids")
 
-    def __init__(self, tag_ids: Dict[str, int], user_offsets: np.ndarray,
-                 user_ids: np.ndarray, segment_offsets: np.ndarray,
-                 item_ids: np.ndarray) -> None:
-        self.tag_ids = tag_ids
-        self.user_offsets = user_offsets
-        self.user_ids = user_ids
-        self.segment_offsets = segment_offsets
-        self.item_ids = item_ids
+    def __init__(self, tags: Sequence[str],
+                 sections: Mapping[str, np.ndarray]) -> None:
+        self.tag_ids = {tag: index for index, tag in enumerate(tags)}
+        self.user_offsets = sections["social.user_offsets"]
+        self.user_ids = sections["social.user_ids"]
+        self.segment_offsets = sections["social.segment_offsets"]
+        self.item_ids = sections["social.item_ids"]
 
 
 class ArenaSocialIndex(SocialIndex):
@@ -552,17 +634,15 @@ class ArenaSocialIndex(SocialIndex):
 
     The cold paths (full profiles, entry iteration) materialise the dict
     form lazily on first use.  Live updates land in a small ``(user, tag) →
-    items`` overlay consulted before the frozen arrays; :meth:`compact`
-    folds the overlay back into fresh arrays.
+    items`` overlay consulted before the frozen arrays; compaction
+    (:meth:`stage_compact` + :meth:`commit_compact`) lays out fresh arrays
+    from the tagging store's staged epoch.
     """
 
-    def __init__(self, tags: Sequence[str], user_offsets: np.ndarray,
-                 user_ids: np.ndarray, segment_offsets: np.ndarray,
-                 item_ids: np.ndarray) -> None:
+    def __init__(self, tags: Sequence[str],
+                 sections: Mapping[str, np.ndarray]) -> None:
         super().__init__()
-        self._base = _SocialArrays(
-            {tag: index for index, tag in enumerate(tags)},
-            user_offsets, user_ids, segment_offsets, item_ids)
+        self._base = _SocialArrays(tags, sections)
         self._overlay: Dict[Tuple[int, str], Tuple[int, ...]] = {}
         self._overlay_extra = 0
         self._profiles_built = False
@@ -610,44 +690,28 @@ class ArenaSocialIndex(SocialIndex):
         """Number of ``(user, tag)`` entries pending compaction."""
         return len(self._overlay)
 
-    def stage_compact(self) -> Optional[Tuple[_SocialArrays, int]]:
+    def stage_compact(self, tagging: Optional[_TaggingState]
+                      ) -> Optional[Tuple[_SocialArrays, int]]:
         """Build the next epoch's arrays without mutating anything.
 
-        Returns ``None`` when the overlay is empty, else ``(arrays,
-        folded)`` to hand to :meth:`commit_compact`.  Staging performs all
-        the work that can fail (allocation, merging); the commit is then a
-        pure attribute swap, which is what gives
-        :meth:`~repro.storage.updates.DatasetUpdater.compact` its
-        failure atomicity — an exception mid-compaction leaves the old
-        epoch fully intact.
+        The arrays are laid out by :func:`social_section` from ``tagging``,
+        the tagging store's staged epoch, whose columns hold every overlay
+        entry.  Returns ``None`` when the overlay is empty, else
+        ``(arrays, folded)`` to hand to :meth:`commit_compact`.  Staging
+        performs all the work that can fail; the commit is then a pure
+        attribute swap, which is what gives
+        :meth:`~repro.storage.updates.DatasetUpdater.compact` its failure
+        atomicity — an exception mid-compaction leaves the old epoch fully
+        intact.
         """
         if not self._overlay:
             return None
-        staging = self._merged_staging()
-        tags = sorted({tag for profile in staging.values() for tag in profile})
-        tag_ids = {tag: index for index, tag in enumerate(tags)}
-        ordered_users = sorted(staging)
-        user_offsets = np.zeros(len(tags) + 1, dtype=np.int64)
-        users: List[int] = []
-        lengths: List[int] = []
-        items: List[int] = []
-        for index, tag in enumerate(tags):
-            with_tag = 0
-            for user in ordered_users:
-                row = staging[user].get(tag)
-                if not row:
-                    continue
-                users.append(user)
-                lengths.append(len(row))
-                items.extend(row)
-                with_tag += 1
-            user_offsets[index + 1] = user_offsets[index] + with_tag
-        segment_offsets = np.zeros(len(users) + 1, dtype=np.int64)
-        np.cumsum(np.array(lengths, dtype=np.int64), out=segment_offsets[1:])
-        arrays = _SocialArrays(
-            tag_ids, user_offsets,
-            np.array(users, dtype=np.int64), segment_offsets,
-            np.array(items, dtype=np.int64))
+        if tagging is None:
+            raise StorageError("refusing to compact the arena social index: "
+                               "no staged tagging epoch holds its overlay")
+        arrays = _SocialArrays(tagging.tag_table, social_section(
+            tagging.users, tagging.items, tagging.tags,
+            len(tagging.tag_table)))
         return arrays, len(self._overlay)
 
     def commit_compact(self, staged: Optional[Tuple[_SocialArrays, int]]
@@ -668,15 +732,12 @@ class ArenaSocialIndex(SocialIndex):
         self._overlay_extra = 0
         return folded
 
-    def compact(self) -> int:
-        """Fold the overlay into fresh arrays (stage + commit in one step)."""
-        return self.commit_compact(self.stage_compact())
-
     # -- cold paths ----------------------------------------------------- #
 
-    def _merged_staging(self) -> Dict[int, Dict[str, Tuple[int, ...]]]:
+    def _ensure_profiles(self) -> None:
+        if self._profiles_built:
+            return
         base = self._base
-        staging: Dict[int, Dict[str, Tuple[int, ...]]] = {}
         for tag, tag_index in base.tag_ids.items():
             start = int(base.user_offsets[tag_index])
             end = int(base.user_offsets[tag_index + 1])
@@ -684,16 +745,10 @@ class ArenaSocialIndex(SocialIndex):
                 user = int(base.user_ids[position])
                 row_start = int(base.segment_offsets[position])
                 row_end = int(base.segment_offsets[position + 1])
-                staging.setdefault(user, {})[tag] = tuple(
+                self._profiles.setdefault(user, {})[tag] = tuple(
                     int(i) for i in base.item_ids[row_start:row_end])
         for (user, tag), row in self._overlay.items():
-            staging.setdefault(user, {})[tag] = row
-        return staging
-
-    def _ensure_profiles(self) -> None:
-        if self._profiles_built:
-            return
-        self._profiles.update(self._merged_staging())
+            self._profiles.setdefault(user, {})[tag] = row
         self._profiles_built = True
 
     def __contains__(self, user_id: int) -> bool:
@@ -722,6 +777,15 @@ class ArenaSocialIndex(SocialIndex):
     def iter_entries(self) -> Iterator[Tuple[int, str, int]]:
         self._ensure_profiles()
         return super().iter_entries()
+
+
+def _actions_from_columns(table: Sequence[str], *columns: np.ndarray
+                          ) -> Iterator[TaggingAction]:
+    """One action per row of ``(user, item, tag id, timestamp)`` columns
+    (the inverse of :meth:`TaggingStore.columns`)."""
+    for user_id, item_id, tag_id, timestamp in zip(
+            *(column.tolist() for column in columns)):
+        yield TaggingAction(user_id, item_id, str(table[tag_id]), timestamp)
 
 
 class _TaggingState:
@@ -837,25 +901,13 @@ class ArenaTaggingStore(TaggingStore):
                     "refusing to compact the arena tagging store: the "
                     "endorser index does not reflect the delta (mutations "
                     "must go through DatasetUpdater)")
-            tag_table = list(state.tag_table)
-            tag_ids = {tag: index for index, tag in enumerate(tag_table)}
-            for tag in self._delta.tags():
-                if tag not in tag_ids:
-                    tag_ids[tag] = len(tag_table)
-                    tag_table.append(tag)
-            actions = self._delta.actions()
-            staged = _TaggingState(
-                tag_table,
-                np.concatenate([state.users, np.array(
-                    [a.user_id for a in actions], dtype=np.int64)]),
-                np.concatenate([state.items, np.array(
-                    [a.item_id for a in actions], dtype=np.int64)]),
-                np.concatenate([state.tags, np.array(
-                    [tag_ids[a.tag] for a in actions], dtype=np.int64)]),
-                np.concatenate([state.timestamps, np.array(
-                    [a.timestamp for a in actions], dtype=np.int64)]),
-                endorsers.snapshot(),
-            )
+            # New tags are appended, so the frozen rows keep their ids.
+            tag_table = state.tag_table + sorted(
+                set(self._delta.tags()) - set(state.tag_table))
+            users, items, tags, timestamps = self.columns(
+                {tag: index for index, tag in enumerate(tag_table)})
+            staged = _TaggingState(tag_table, users, items, tags, timestamps,
+                                   endorsers.snapshot())
             return staged, self._delta_len
 
     def commit_compact(self, staged: Optional[Tuple[_TaggingState, int]]
@@ -959,6 +1011,28 @@ class ArenaTaggingStore(TaggingStore):
                 popularity[tag] = popularity.get(tag, 0) + count
             return popularity
 
+    def columns(self, tag_ids: Mapping[str, int]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The frozen action arrays plus the delta, tags re-encoded.
+
+        Rows come in the order :meth:`actions` would list them (frozen log,
+        then delta); the frozen tag ids are remapped through ``tag_ids``
+        with one gather, so nothing is materialised and, with no delta, the
+        user/item/timestamp columns are the mapped arrays themselves.
+        """
+        with self._lock:
+            state = self._state
+            remap = np.array([tag_ids[tag] for tag in state.tag_table],
+                             dtype=np.int64)
+            base = (state.users, state.items, remap[state.tags],
+                    state.timestamps)
+            if not self._delta_len:
+                return base
+            users, items, tags, timestamps = (
+                np.concatenate([old, new]) for old, new
+                in zip(base, self._delta.columns(tag_ids)))
+            return users, items, tags, timestamps
+
     def action_histograms(self, num_users: int
                           ) -> Tuple[List[str], np.ndarray, np.ndarray]:
         """``(tag_table, activity, popularity)`` from the mapped arrays.
@@ -1002,15 +1076,12 @@ class ArenaTaggingStore(TaggingStore):
         if self._materialised:
             return
         state = self._state
-        for position in range(len(state)):
-            # super().add keeps the secondary hash indexes consistent and
-            # re-interns the tag strings.
-            super().add(TaggingAction(
-                user_id=int(state.users[position]),
-                item_id=int(state.items[position]),
-                tag=state.tag_table[int(state.tags[position])],
-                timestamp=int(state.timestamps[position]),
-            ))
+        # super().add keeps the secondary hash indexes consistent and
+        # re-interns the tag strings.
+        for action in _actions_from_columns(state.tag_table, state.users,
+                                            state.items, state.tags,
+                                            state.timestamps):
+            super().add(action)
         for action in self._delta.actions():
             super().add(action)
         self._materialised = True
@@ -1115,17 +1186,8 @@ def _load_holdout(arena: Arena) -> Optional[TaggingStore]:
         return None
     table = arena.meta.get("holdout_tags") or arena.meta["tags"]
     store = TaggingStore()
-    user_ids = arena.array("holdout.user_ids")
-    item_ids = arena.array("holdout.item_ids")
-    tag_ids = arena.array("holdout.tag_ids")
-    timestamps = arena.array("holdout.timestamps")
-    for position in range(int(user_ids.shape[0])):
-        store.add(TaggingAction(
-            user_id=int(user_ids[position]),
-            item_id=int(item_ids[position]),
-            tag=str(table[int(tag_ids[position])]),
-            timestamp=int(timestamps[position]),
-        ))
+    store.add_many(_actions_from_columns(
+        table, *(arena.array(f"holdout.{name}") for name in ACTION_COLUMNS)))
     return store
 
 
@@ -1143,13 +1205,7 @@ def load_dataset_from_arena(source: Union[PathLike, Arena]) -> Dataset:
     )
     endorsers = _load_endorser_index(arena, tags)
     inverted = _load_inverted_index(arena, tags, endorsers)
-    social = ArenaSocialIndex(
-        tags,
-        arena.array("social.user_offsets"),
-        arena.array("social.user_ids"),
-        arena.array("social.segment_offsets"),
-        arena.array("social.item_ids"),
-    )
+    social = ArenaSocialIndex(tags, arena.arrays)
     tagging = ArenaTaggingStore(
         endorsers, tags,
         arena.array("actions.user_ids"),

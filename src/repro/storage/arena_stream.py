@@ -1,14 +1,11 @@
-"""Out-of-core arena construction: chunked generation + memmap fill passes.
+"""Out-of-core arena construction: chunked generation + spilled columns.
 
-:func:`repro.storage.arena.build_arena` serialises an already-built
-:class:`~repro.storage.dataset.Dataset` — which means the whole corpus has
-been materialised in Python dicts first (tagging store hash indexes,
-per-user social profiles, posting-list dicts).  At the 2,500-user benchmark
-scale that is irrelevant; at the 100k–1M-user scale the ROADMAP targets it
-is the difference between a few hundred MB and many GB of peak RSS.
-
-This module builds the **same arena file** without ever materialising the
-corpus in Python objects:
+The arena's index sections are laid out by one writer,
+:func:`repro.storage.arena.index_sections`, from an action log held as
+int64 columns.  :func:`~repro.storage.arena.build_arena` hands it a
+dataset's columns; this module produces the columns for a corpus that is
+never built as a :class:`~repro.storage.dataset.Dataset` at all, so a
+100k–1M-user arena is written with bounded memory:
 
 1. the social graph is generated normally (its CSR arrays are a few MB even
    at 1M users) and the tagging stream is consumed chunk-at-a-time from
@@ -17,27 +14,23 @@ corpus in Python objects:
    ``(user, item, tag)`` keys (merged LSM-style as chunks arrive) and the
    surviving first-occurrence rows are spilled to flat column files in a
    scratch directory;
-3. every index section (inverted, endorser, social, action log) is then
-   produced by count-then-fill passes over the spilled columns: composite
-   integer sort keys, one global ``argsort`` per section, and blocked
-   gathers into ``np.memmap`` outputs — 8 bytes per row instead of a
-   Python object per row;
-4. :func:`~repro.storage.arena.write_arena` streams the memmap-backed
-   arrays to the target file in bounded slices.
+3. the sorted distinct tag ranks become the tag table and each row's
+   arena-local tag id is filled into a scratch memmap;
+4. the writer runs over the memmapped columns with memmap outputs in the
+   scratch directory, and :func:`~repro.storage.arena.write_arena` streams
+   every array to the target file in bounded slices.
 
 The result is **byte-identical** to ``build_arena(build_dataset(config))``
 at every seed (property-gated in ``tests/property``): the generator chunks
-are the same action stream, deduplication keeps the same first occurrences,
-and each fill pass reproduces the exact ordering the in-memory index
-builders produce (frequency-ordered posting lists, ascending endorser and
-social segments).
+are the same action stream, deduplication keeps the same first
+occurrences, and both builds go through the same writer.
 """
 
 from __future__ import annotations
 
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,17 +39,18 @@ from ..errors import StorageError
 from ..graph import generate_graph
 from ..workload.tagging_model import TaggingModel
 from .arena import (
+    _BLOCK_ROWS,
     ARENA_VERSION,
     LazyRecordList,
     PathLike,
     _release_mapped_pages,
+    _scratch_array,
+    index_sections,
     write_arena,
 )
 
 #: default number of actions per generated chunk.
 DEFAULT_CHUNK_SIZE = 100_000
-#: rows moved per blocked gather / fill slice.
-_BLOCK_ROWS = 1 << 20
 #: merge the pending dedup runs into the base array once this many accumulate.
 _MAX_PENDING_RUNS = 16
 
@@ -139,41 +133,6 @@ class _ColumnSpill:
         }
 
 
-def _scratch_memmap(directory: Path, name: str, rows: int,
-                    dtype=np.int64) -> np.ndarray:
-    """A writable scratch memmap (plain zero-length array when empty)."""
-    if rows == 0:
-        return np.zeros(0, dtype=dtype)
-    return np.memmap(directory / f"{name}.mm", dtype=dtype, mode="w+",
-                     shape=(rows,))
-
-
-def _gather_into(out: np.ndarray, source: np.ndarray,
-                 order: np.ndarray) -> np.ndarray:
-    """``out[:] = source[order]`` in bounded blocks (the memmap fill pass)."""
-    for start in range(0, order.shape[0], _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        out[start:stop] = np.asarray(source[order[start:stop]])
-    return out
-
-
-def _group_sorted(keys_sorted: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(unique_keys, counts)`` of an already-sorted key array (one pass)."""
-    if keys_sorted.shape[0] == 0:
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    boundaries = np.flatnonzero(np.diff(keys_sorted)) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries,
-                           np.array([keys_sorted.shape[0]], dtype=np.int64)])
-    return np.asarray(keys_sorted[starts]), ends - starts
-
-
-def _offsets_from_counts(counts: np.ndarray, length: int) -> np.ndarray:
-    offsets = np.zeros(length + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
 def build_arena_streaming(config: DatasetConfig, path: PathLike,
                           chunk_size: int = DEFAULT_CHUNK_SIZE,
                           scratch_dir: Optional[PathLike] = None) -> Path:
@@ -249,7 +208,6 @@ def _build_into(config: DatasetConfig, path: Path, chunk_size: int,
         raise StorageError("streaming build produced no actions")
 
     users_log = log["user_ids"]
-    items_log = log["item_ids"]
     ranks_log = log["tag_ranks"]
 
     # ------------------------------------------------------------------ #
@@ -260,7 +218,7 @@ def _build_into(config: DatasetConfig, path: Path, chunk_size: int,
     present_ranks = np.unique(np.asarray(ranks_log))
     vocabulary = model.tags
     tags = [vocabulary[rank] for rank in present_ranks.tolist()]
-    tag_ids_log = _scratch_memmap(scratch, "tag_ids", total)
+    tag_ids_log = _scratch_array(scratch, "tag_ids", total)
     for start in range(0, total, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
         tag_ids_log[start:stop] = np.searchsorted(
@@ -273,67 +231,12 @@ def _build_into(config: DatasetConfig, path: Path, chunk_size: int,
     arrays["graph.weights"] = weights
 
     # ------------------------------------------------------------------ #
-    # Phase 3: endorser + inverted sections from one (tag, item, user) sort.
+    # Phase 3: the index sections and the action log, laid out by the
+    # arena's one writer with memmap outputs in the scratch directory.
     # ------------------------------------------------------------------ #
-    key_tiu = (np.asarray(tag_ids_log) * num_items + np.asarray(items_log)) \
-        * num_users + np.asarray(users_log)
-    # Keys are distinct triples, so stability cannot change the result —
-    # but kind="stable" pins the permutation across numpy versions.
-    order = np.argsort(key_tiu, kind="stable")
-    taggers = _scratch_memmap(scratch, "endorser.taggers", total)
-    _gather_into(taggers, users_log, order)
-    # Not read again until the final write; keep its pages off the RSS bill.
-    _release_mapped_pages(taggers)
-    # Group the sorted rows by (tag, item): counts are the per-item
-    # distinct-endorser frequencies (rows are distinct triples).
-    pair_keys, pair_counts = _group_sorted(key_tiu[order] // num_users)
-    del key_tiu, order
-    pair_tags = pair_keys // num_items
-    pair_items = pair_keys % num_items
-    per_tag_items = np.bincount(pair_tags, minlength=len(tags))
-
-    # Inverted index first (matching build_arena's manifest order): the
-    # (tag, item, frequency) relation re-ordered per tag by
-    # (-frequency, item id) — the posting-list layout.
-    posting_order = np.lexsort((pair_items, -pair_counts, pair_tags))
-    arrays["inverted.offsets"] = _offsets_from_counts(per_tag_items, len(tags))
-    arrays["inverted.item_ids"] = pair_items[posting_order]
-    arrays["inverted.frequencies"] = pair_counts[posting_order]
-    del posting_order
-
-    arrays["endorser.item_offsets"] = _offsets_from_counts(
-        per_tag_items, len(tags))
-    arrays["endorser.item_ids"] = pair_items
-    arrays["endorser.frequencies"] = pair_counts
-    arrays["endorser.segment_offsets"] = _offsets_from_counts(
-        pair_counts, pair_counts.shape[0])
-    arrays["endorser.taggers"] = taggers
-
-    # ------------------------------------------------------------------ #
-    # Phase 4: social section from one (tag, user, item) sort.
-    # ------------------------------------------------------------------ #
-    key_tui = (np.asarray(tag_ids_log) * num_users + np.asarray(users_log)) \
-        * num_items + np.asarray(items_log)
-    order = np.argsort(key_tui, kind="stable")
-    social_items = _scratch_memmap(scratch, "social.item_ids", total)
-    _gather_into(social_items, items_log, order)
-    _release_mapped_pages(social_items)
-    row_keys, row_counts = _group_sorted(key_tui[order] // num_items)
-    del key_tui, order
-    arrays["social.user_offsets"] = _offsets_from_counts(
-        np.bincount(row_keys // num_users, minlength=len(tags)), len(tags))
-    arrays["social.user_ids"] = row_keys % num_users
-    arrays["social.segment_offsets"] = _offsets_from_counts(
-        row_counts, row_counts.shape[0])
-    arrays["social.item_ids"] = social_items
-
-    # ------------------------------------------------------------------ #
-    # Phase 5: the deduplicated action log + meta, then the atomic write.
-    # ------------------------------------------------------------------ #
-    arrays["actions.user_ids"] = users_log
-    arrays["actions.item_ids"] = items_log
-    arrays["actions.tag_ids"] = tag_ids_log
-    arrays["actions.timestamps"] = log["timestamps"]
+    arrays.update(index_sections(users_log, log["item_ids"], tag_ids_log,
+                                 log["timestamps"], num_tags=len(tags),
+                                 scratch=scratch))
 
     # Every fill pass is done: evict the phases' resident pages so the
     # header-encoding and write phase start from a near-empty RSS (the

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -200,6 +200,18 @@ class TaggingStore:
         popularity = np.array([self._tag_counts[tag] for tag in tag_table],
                               dtype=np.float64)
         return tag_table, activity, popularity
+
+    def columns(self, tag_ids: Mapping[str, int]
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(user_ids, item_ids, tag_ids, timestamps)`` int64 columns, one
+        row per action in insertion order, tags encoded through ``tag_ids``
+        — the input of :func:`repro.storage.arena.index_sections`."""
+        rows = np.array([(action.user_id, action.item_id, tag_ids[action.tag],
+                          action.timestamp) for action in self._actions],
+                        dtype=np.int64).reshape(-1, 4)
+        user_ids, item_ids, tags, timestamps = (
+            np.ascontiguousarray(rows[:, column]) for column in range(4))
+        return user_ids, item_ids, tags, timestamps
 
     def num_distinct_triples(self) -> int:
         """Number of distinct ``(user, item, tag)`` triples stored."""

@@ -47,6 +47,8 @@ class UpdateSummary:
 
     actions_added: int = 0
     actions_ignored: int = 0
+    #: distinct edges that are new or whose weight grew: the graph changed
+    #: for each of them, so each must be logged and refresh proximity.
     edges_added: int = 0
     users_added: int = 0
     items_added: int = 0
@@ -201,16 +203,19 @@ class DatasetUpdater:
         with self._mutate_lock, obs_span("updates.compact") as compact_span:
             tagging = self._dataset.tagging
             social = self._dataset.social_index
-            stage_tagging = getattr(tagging, "stage_compact", None)
             staged_tagging = None
+            staged_state = None
             folded = 0
-            if stage_tagging is not None:
-                staged_tagging = stage_tagging(self._dataset.endorser_index)
+            if hasattr(tagging, "stage_compact"):
+                staged_tagging = tagging.stage_compact(
+                    self._dataset.endorser_index)
                 if staged_tagging is not None:
-                    folded = staged_tagging[1]
+                    staged_state, folded = staged_tagging
             fault_point("compact.stage")
-            stage_social = getattr(social, "stage_compact", None)
-            staged_social = stage_social() if stage_social is not None else None
+            staged_social = None
+            if hasattr(social, "stage_compact"):
+                # The social CSR is laid out from the staged tagging epoch.
+                staged_social = social.stage_compact(staged_state)
             if folded and self._wal is not None:
                 # The marker is durable before the swap: recovery can
                 # correlate log positions with epochs, and a failing append
@@ -306,7 +311,8 @@ class DatasetUpdater:
             return self._notify(summary)
 
     def add_friendships(self, edges: Iterable[Tuple[int, int, float]]) -> UpdateSummary:
-        """Add friendships; the CSR graph is rebuilt once for the whole batch."""
+        """Add or strengthen friendships; the CSR graph is rebuilt once for
+        the whole batch, and not at all when no edge changed."""
         edges = list(edges)
         summary = UpdateSummary()
         if not edges:
@@ -317,13 +323,16 @@ class DatasetUpdater:
             builder = SocialGraphBuilder(old.num_users)
             for u, v, w in old.iter_edges():
                 builder.add_edge(u, v, w)
-            before = builder.num_edges
+            changed: Set[Tuple[int, int]] = set()
             for u, v, w in edges:
-                builder.add_edge(u, v, w)
+                if builder.add_edge(u, v, w):
+                    changed.add((min(u, v), max(u, v)))
                 summary.users_touched.update((u, v))
-            summary.edges_added = builder.num_edges - before
+            summary.edges_added = len(changed)
+            if not changed:
+                return summary
             self._dataset.graph = builder.build()
-            if summary.edges_added and self._wal is not None:
+            if self._wal is not None:
                 # The full batch is logged (not just the novel edges):
                 # replaying duplicates through the graph builder is
                 # idempotent, and the record mirrors what the caller sent.
